@@ -5,8 +5,9 @@ excluded) for each executor, records events/second and the speedup over
 serial, and snapshots the numbers to ``BENCH_replay.json``.
 
 The numbers are honest for the machine they ran on: sharding pays a
-fork + outcome-pickling overhead that only amortizes when real cores
-are available, so on a single-CPU container the sharded engines are
+fork + outcome-transport overhead (``wait_seconds`` blocked on the
+outcome queue over ``batches`` messages) that only amortizes when real
+cores are available, so on a single-CPU container the sharded engines are
 *slower* than serial.  ``cpu_count`` is recorded alongside the timings
 so a reader can tell the difference between "sharding is broken" and
 "there was nothing to parallelize onto".
@@ -59,7 +60,8 @@ def test_replay_throughput(emit):
             "events": events,
             "wall_seconds": round(wall, 3),
             "events_per_second": round(events / wall, 1),
-            "merge_seconds": engine.stats.get("merge_seconds"),
+            "wait_seconds": engine.stats.get("wait_seconds"),
+            "batches": engine.stats.get("batches"),
         })
 
     serial = runs[0]

@@ -312,11 +312,8 @@ def _run_instrumented(config: ExperimentConfig, telemetry: obs.Telemetry,
         trace_shards=config.trace_out is not None,
         flight_dir=output_dir if telemetry.enabled else None,
         run_id=run_id,
-        # Checkpointing needs outcomes streamed as they complete (a
-        # barrier that waits for every shard would mean zero durable
-        # progress until the very end), and a resume needs every shard
-        # to fast-forward past the committed watermark.
-        stream_outcomes=journal is not None,
+        # A resume needs every shard to fast-forward past the committed
+        # watermark.
         watermark=(resume_state.watermark
                    if resume_state is not None else None))
     live_server = None
@@ -419,8 +416,8 @@ def _run_replay(config: ExperimentConfig, telemetry: obs.Telemetry,
 
     # The replay engine and the sink pipeline interleave on this
     # thread, so the loop splits its time manually: pulling the next
-    # outcome is "replay", feeding its events through the sinks is
-    # "split" (sharded engines do all pool work inside the first pull).
+    # outcome is "replay" (for a sharded engine, waiting on its
+    # streaming merge), feeding its events through the sinks is "split".
     mark = time.perf_counter()
     stream = iter(engine.replay(schedule, plan, config.seed, telemetry,
                                 ops))

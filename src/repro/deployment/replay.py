@@ -15,7 +15,7 @@ Two engines:
 * :class:`ShardedExecutor` -- partitions the schedule by *target
   honeypot* (``crc32(target_key) % workers``), replays each shard on
   its own worker, and merges the per-shard outcome streams back into
-  canonical ``(offset, ip, seq)`` order.
+  canonical ``(offset, ip, seq)`` order as they arrive.
 
 Partitioning by target is what makes the parallel run *deterministic*
 with respect to the serial one.  The actor side is stateless across
@@ -35,15 +35,20 @@ outcome and the merged stream is element-for-element the serial
 stream.
 
 Workers prefer a ``fork``-context process pool (each worker inherits
-the already-built plan and schedule copy-on-write, replays its shard,
-and ships its outcomes back); where ``fork`` is unavailable the engine
-falls back to threads, whose per-shard runtime contexts install
-thread-locally (see :mod:`repro.runtime`).
+the already-built plan and schedule copy-on-write); where ``fork`` is
+unavailable the engine falls back to threads, whose per-shard runtime
+contexts install thread-locally (see :mod:`repro.runtime`).  Either way
+a worker ships its outcomes over one queue in batches of
+:data:`OUTCOME_BATCH` visits, and the driver runs a streaming k-way
+merge over the per-shard streams: an outcome is yielded as soon as
+every unfinished shard has one buffered, so the sink pipeline (and
+SQLite conversion behind it) overlaps the replay instead of waiting for
+the slowest shard.  Across a process boundary each event travels as a
+plain tuple (:meth:`VisitOutcome.__reduce__`), which pickles in C.
 """
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import os
 import queue as queue_module
@@ -162,6 +167,24 @@ class VisitOutcome:
         """Events this visit generated, whether or not still attached."""
         return (self.events_count if self.events_count is not None
                 else len(self.events))
+
+    def __reduce__(self):
+        # Events pickle as plain tuples; see _rebuild_outcome.
+        return (_rebuild_outcome,
+                (self.offset, self.actor_ip, self.sequence,
+                 self.target_key, [tuple(event) for event in self.events],
+                 self.bytes_in, self.bytes_out, self.failure,
+                 self.committed, self.events_count))
+
+
+def _rebuild_outcome(offset, actor_ip, sequence, target_key, events,
+                     *rest) -> VisitOutcome:
+    """Unpickle a :class:`VisitOutcome`: ``tuple.__new__`` re-types each
+    plain tuple as a :class:`LogEvent` without re-running its
+    constructor."""
+    new = tuple.__new__
+    return VisitOutcome(offset, actor_ip, sequence, target_key,
+                        [new(LogEvent, event) for event in events], *rest)
 
 
 @dataclass(slots=True)
@@ -284,10 +307,6 @@ class OpsOptions:
     flight_dir: Path | None = None
     #: Correlation id bound into every worker ops-log record.
     run_id: str | None = None
-    #: Stream outcomes to the driver as they replay (required for
-    #: mid-run checkpoints; the default eager mode delivers them only
-    #: after every shard finishes).
-    stream_outcomes: bool = False
     #: Resume watermark ``(offset, ip, seq)``: visits at or below it
     #: fast-forward (honeypot state + RNG/fault accounting rebuilt,
     #: events stripped as already durable).
@@ -318,7 +337,7 @@ class ReplayEngine:
     name = "abstract"
     workers = 1
     #: Populated by :meth:`replay` with the manifest's ``replay``
-    #: section (shard sizes, per-shard wall times, merge time).
+    #: section (shard sizes, per-shard wall times, transport wait).
     stats: dict | None = None
 
     def replay(self, schedule: Sequence[ScheduledVisit],
@@ -389,13 +408,11 @@ class _ShardResult:
     """What one worker ships back to the driver."""
 
     shard: int
-    outcomes: list[VisitOutcome]
     wall_seconds: float
     #: :meth:`repro.runtime.RunContext.report` of the worker.
     report: dict
-    #: Shard totals, counted in the worker -- the streaming mode ships
-    #: outcomes over the queue instead of in ``outcomes``, so the stats
-    #: cannot be recomputed from the result object.
+    #: Shard totals, counted in the worker (the outcomes themselves
+    #: went to the driver over the outcome queue).
     visits: int = 0
     events: int = 0
     quarantined: int = 0
@@ -405,22 +422,23 @@ class _ShardResult:
 #: immediately before the pool is created (workers inherit it).
 _FORK_STATE: dict | None = None
 
+#: Visits per outcome-queue message: large enough that queue and pickle
+#: overhead amortize, small enough that the driver's merge (and the
+#: SQLite writers behind it) never wait long for a shard's next outcome.
+OUTCOME_BATCH = 128
+
 
 def _replay_shard(plan: DeploymentPlan, shard: int,
                   schedule: Sequence[ScheduledVisit], seed: int,
                   telemetry_enabled: bool,
                   fault_payload: dict | None,
-                  ops: _WorkerOps | None = None,
-                  bus_queue=None, outcome_queue=None) -> _ShardResult:
+                  ops: _WorkerOps, bus_queue, outcome_queue) -> _ShardResult:
     """Replay one shard under its own thread-local runtime context.
 
-    With ``outcome_queue`` (streaming mode) each outcome is shipped to
-    the driver as it replays -- ``("outcome", shard, outcome)`` tuples
-    followed by one ``("done", shard)`` marker -- instead of
-    accumulating in the result.
+    Outcomes go to the driver as they replay: one ``("batch", shard,
+    outcomes)`` message per :data:`OUTCOME_BATCH` visits, the last one
+    partial, then one ``("done", shard)`` marker.
     """
-    if ops is None:
-        ops = _WorkerOps()
     context = worker_context(telemetry_enabled, fault_payload,
                              tracing=ops.tracing)
     telemetry = context.telemetry
@@ -438,7 +456,7 @@ def _replay_shard(plan: DeploymentPlan, shard: int,
     watermark = (tuple(ops.watermark) if ops.watermark is not None
                  else None)
     start = time.perf_counter()
-    outcomes = []
+    batch: list[VisitOutcome] = []
     visits = events_total = quarantined = 0
     with context.activate_local(), obs_logging.bind(**correlation):
         shard_plan = faults.current()
@@ -487,16 +505,17 @@ def _replay_shard(plan: DeploymentPlan, shard: int,
                                        failure=outcome.failure)
                 if emitter is not None:
                     emitter.advance(outcome.event_total())
-                if outcome_queue is not None:
-                    outcome_queue.put(("outcome", shard, outcome))
-                else:
-                    outcomes.append(outcome)
-        if outcome_queue is not None:
-            outcome_queue.put(("done", shard))
+                batch.append(outcome)
+                if len(batch) == OUTCOME_BATCH:
+                    outcome_queue.put(("batch", shard, batch))
+                    batch = []
+        if batch:
+            outcome_queue.put(("batch", shard, batch))
+        outcome_queue.put(("done", shard))
         if emitter is not None:
             emitter.flush()
         logger.info("shard.done", visits=visits, events=events_total)
-    return _ShardResult(shard=shard, outcomes=outcomes,
+    return _ShardResult(shard=shard,
                         wall_seconds=time.perf_counter() - start,
                         report=context.report(), visits=visits,
                         events=events_total, quarantined=quarantined)
@@ -530,17 +549,45 @@ def _check_futures(futures) -> None:
             raise error
 
 
+def _merge_ready(buffers: list[deque], done: list[bool]
+                 ) -> Iterator[VisitOutcome]:
+    """Pop buffered outcomes in canonical order while that is safe.
+
+    Each shard's stream is canonically ordered, so once every
+    unfinished shard has an outcome buffered the smallest head is
+    globally minimal; when all shards are done this drains everything.
+    """
+    while True:
+        best = None
+        for index, buffer in enumerate(buffers):
+            if buffer:
+                if best is None or buffer[0].key < buffers[best][0].key:
+                    best = index
+            elif not done[index]:
+                return
+        if best is None:
+            return
+        yield buffers[best].popleft()
+
+
 def _replay_shard_forked(shard: int) -> _ShardResult:
     state = _FORK_STATE
     assert state is not None, "fork state not set before pool creation"
+    outcome_queue = state["outcome_queue"]
+    # On every normal path the driver reads through this shard's "done"
+    # marker before the pool shuts down, so nothing is left to flush at
+    # exit.  If the driver abandons the merge instead, a feeder thread
+    # blocked on the full pipe must not hang the worker's exit.
+    outcome_queue.cancel_join_thread()
     return _replay_shard(state["plan"], shard, state["shards"][shard],
                          state["seed"], state["telemetry_enabled"],
                          state["fault_payload"], state["ops"],
-                         state["bus_queue"], state.get("outcome_queue"))
+                         state["bus_queue"], outcome_queue)
 
 
 class ShardedExecutor(ReplayEngine):
-    """Partition-by-actor replay on a worker pool, merged canonically.
+    """Partition-by-target replay on a worker pool, merged canonically
+    while the shards stream their outcomes in.
 
     ``pool`` selects the worker flavor: ``"fork"`` (process pool,
     copy-on-write state -- the default where available), ``"thread"``
@@ -568,6 +615,13 @@ class ShardedExecutor(ReplayEngine):
                plan: DeploymentPlan, seed: int,
                telemetry: obs.Telemetry,
                ops: OpsOptions | None = None) -> Iterator[VisitOutcome]:
+        """Replay the shards on the pool, yielding outcomes in canonical
+        order as they arrive (see :func:`_merge_ready`).
+
+        A worker death surfaces as :class:`WorkerLostError` instead of
+        a hang.
+        """
+        global _FORK_STATE
         shards = [[] for _ in range(self.workers)]
         for entry in schedule:
             shards[shard_of(entry[3].target_key, self.workers)].append(entry)
@@ -576,8 +630,10 @@ class ShardedExecutor(ReplayEngine):
         if driver_plan is not faults.NULL_PLAN:
             fault_payload = driver_plan.payload()
 
+        kill_armed = (self.pool == "fork" and
+                      "proc.kill" in driver_plan.sites)
         bus = None
-        worker_ops = None
+        worker_ops = _WorkerOps(kill_armed=kill_armed, workers=self.workers)
         if ops is not None:
             if ops.live and telemetry.enabled:
                 bus = obs_live.LiveBus(self._make_queue(),
@@ -591,116 +647,62 @@ class ShardedExecutor(ReplayEngine):
                             if ops.flight_dir is not None else None),
                 run_id=ops.run_id,
                 watermark=ops.watermark,
-                kill_armed=(self.pool == "fork" and
-                            "proc.kill" in driver_plan.sites),
+                kill_armed=kill_armed,
                 workers=self.workers)
-        elif self.pool == "fork" and "proc.kill" in driver_plan.sites:
-            worker_ops = _WorkerOps(kill_armed=True,
-                                    workers=self.workers)
         self.live_bus = bus
+        bus_queue = bus.queue if bus is not None else None
 
-        if ops is not None and ops.stream_outcomes:
-            return self._replay_streaming(plan, shards, seed, telemetry,
-                                          driver_plan, fault_payload,
-                                          worker_ops, bus)
-
-        try:
-            results = self._run_shards(plan, shards, seed,
-                                       telemetry.enabled, fault_payload,
-                                       worker_ops,
-                                       bus.queue if bus else None)
-        finally:
-            # Every worker's final flush was queued before its future
-            # resolved, so stopping here folds the complete stream.
-            if bus is not None:
-                bus.stop()
-
-        live_stats, stitched_spans = self._absorb_results(
-            results, telemetry, driver_plan, worker_ops, bus)
-        merge_start = time.perf_counter()
-        merged = list(heapq.merge(*(result.outcomes for result in results),
-                                  key=lambda outcome: outcome.key))
-        merge_seconds = time.perf_counter() - merge_start
-        self.stats = self._build_stats(results, merge_seconds,
-                                       live_stats, stitched_spans)
-        return iter(merged)
-
-    def _replay_streaming(self, plan, shards, seed, telemetry,
-                          driver_plan, fault_payload, worker_ops,
-                          bus) -> Iterator[VisitOutcome]:
-        """Incremental k-way merge of live per-shard outcome streams.
-
-        Workers push each outcome over a dedicated queue as it replays;
-        the driver emits an outcome as soon as every unfinished shard
-        has something buffered (its key is then globally minimal, since
-        each shard's stream is canonically ordered).  This is what lets
-        the driver checkpoint mid-run -- the eager mode only yields
-        after every shard finishes.  A worker death surfaces as
-        :class:`WorkerLostError` instead of a hang.
-        """
-        global _FORK_STATE
-        if worker_ops is None:
-            worker_ops = _WorkerOps()
-        count = len(shards)
         out_queue = self._make_outcome_queue()
-        buffers: list[deque] = [deque() for _ in range(count)]
-        done = [False] * count
-        results: list[_ShardResult] = []
-
-        def emit_ready() -> Iterator[VisitOutcome]:
-            while True:
-                ready = [i for i in range(count) if buffers[i]]
-                if not ready or not all(done[i] or buffers[i]
-                                        for i in range(count)):
-                    return
-                best = min(ready, key=lambda i: buffers[i][0].key)
-                yield buffers[best].popleft()
-
+        buffers: list[deque] = [deque() for _ in shards]
+        done = [False] * len(shards)
+        wait_seconds = 0.0
+        batches = 0
         try:
             if self.pool == "thread":
-                pool_factory = ThreadPoolExecutor(max_workers=self.workers)
+                pool = ThreadPoolExecutor(max_workers=self.workers)
 
-                def submit(pool):
-                    return [pool.submit(_replay_shard, plan, index,
-                                        shards[index], seed,
-                                        telemetry.enabled, fault_payload,
-                                        worker_ops,
-                                        bus.queue if bus else None,
-                                        out_queue)
-                            for index in range(count)]
+                def submit(index: int):
+                    return pool.submit(_replay_shard, plan, index,
+                                       shards[index], seed,
+                                       telemetry.enabled, fault_payload,
+                                       worker_ops, bus_queue, out_queue)
             else:
+                # Workers inherit plan + shards copy-on-write, so nothing
+                # is rebuilt and only outcomes cross the process
+                # boundary.  Each worker replays against its own
+                # (inherited, fresh) honeypot fleet.
                 _FORK_STATE = {
                     "plan": plan, "shards": shards, "seed": seed,
                     "telemetry_enabled": telemetry.enabled,
                     "fault_payload": fault_payload, "ops": worker_ops,
-                    "bus_queue": bus.queue if bus else None,
-                    "outcome_queue": out_queue}
-                pool_factory = ProcessPoolExecutor(
+                    "bus_queue": bus_queue, "outcome_queue": out_queue}
+                pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     mp_context=multiprocessing.get_context("fork"))
 
-                def submit(pool):
-                    return [pool.submit(_replay_shard_forked, index)
-                            for index in range(count)]
+                def submit(index: int):
+                    return pool.submit(_replay_shard_forked, index)
 
-            with pool_factory as pool:
-                futures = submit(pool)
-                pending = count
+            with pool:
+                futures = [submit(index) for index in range(len(shards))]
+                pending = len(shards)
                 while pending:
+                    waited = time.perf_counter()
                     try:
                         message = out_queue.get(timeout=0.25)
                     except queue_module.Empty:
+                        message = None
+                    wait_seconds += time.perf_counter() - waited
+                    if message is None:
                         _check_futures(futures)
                         continue
                     if message[0] == "done":
                         done[message[1]] = True
                         pending -= 1
                     else:
-                        buffers[message[1]].append(message[2])
-                    yield from emit_ready()
-                for outcome in heapq.merge(*buffers,
-                                           key=lambda o: o.key):
-                    yield outcome
+                        buffers[message[1]].extend(message[2])
+                        batches += 1
+                    yield from _merge_ready(buffers, done)
                 try:
                     results = [future.result() for future in futures]
                 except BrokenProcessPool as error:
@@ -709,13 +711,31 @@ class ShardedExecutor(ReplayEngine):
                         from error
         finally:
             _FORK_STATE = None
+            # Every worker's final flush was queued before its future
+            # resolved, so stopping here folds the complete stream.
             if bus is not None:
                 bus.stop()
 
         live_stats, stitched_spans = self._absorb_results(
             results, telemetry, driver_plan, worker_ops, bus)
-        self.stats = self._build_stats(results, None, live_stats,
-                                       stitched_spans, streaming=True)
+        self.stats = {
+            "executor": self.name,
+            "workers": self.workers,
+            "pool": self.pool,
+            # Driver time blocked on the outcome queue, and the outcome
+            # batches it received (``"done"`` markers not counted).
+            "wait_seconds": wait_seconds,
+            "batches": batches,
+            "live": live_stats,
+            "stitched_spans": stitched_spans,
+            "shards": [{
+                "shard": result.shard,
+                "visits": result.visits,
+                "events": result.events,
+                "quarantined_visits": result.quarantined,
+                "wall_seconds": result.wall_seconds,
+            } for result in sorted(results, key=lambda r: r.shard)],
+        }
 
     def _absorb_results(self, results, telemetry, driver_plan,
                         worker_ops, bus):
@@ -762,25 +782,6 @@ class ShardedExecutor(ReplayEngine):
             }
         return live_stats, stitched_spans
 
-    def _build_stats(self, results, merge_seconds, live_stats,
-                     stitched_spans, *, streaming=False) -> dict:
-        return {
-            "executor": self.name,
-            "workers": self.workers,
-            "pool": self.pool,
-            "merge_seconds": merge_seconds,
-            "streaming": streaming,
-            "live": live_stats,
-            "stitched_spans": stitched_spans,
-            "shards": [{
-                "shard": result.shard,
-                "visits": result.visits,
-                "events": result.events,
-                "quarantined_visits": result.quarantined,
-                "wall_seconds": result.wall_seconds,
-            } for result in sorted(results, key=lambda r: r.shard)],
-        }
-
     def _make_queue(self):
         """A bus queue workers of this pool flavor can reach: plain
         in-process for threads, a fork-context pipe for processes."""
@@ -789,46 +790,11 @@ class ShardedExecutor(ReplayEngine):
         return multiprocessing.get_context("fork").SimpleQueue()
 
     def _make_outcome_queue(self):
-        """The streaming outcome queue needs ``get(timeout=...)`` (so
-        the driver can poll for dead workers), which SimpleQueue lacks."""
+        """The outcome queue needs ``get(timeout=...)`` (so the driver
+        can poll for dead workers), which SimpleQueue lacks."""
         if self.pool == "thread":
             return queue_module.Queue()
         return multiprocessing.get_context("fork").Queue()
-
-    def _run_shards(self, plan, shards, seed, telemetry_enabled,
-                    fault_payload, worker_ops=None,
-                    bus_queue=None) -> list[_ShardResult]:
-        global _FORK_STATE
-        if self.pool == "thread":
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures = [
-                    pool.submit(_replay_shard, plan, index, shard, seed,
-                                telemetry_enabled, fault_payload,
-                                worker_ops, bus_queue)
-                    for index, shard in enumerate(shards)]
-                return [future.result() for future in futures]
-        # Fork pool: workers inherit plan + shards copy-on-write, so
-        # nothing is rebuilt and only outcomes cross the process
-        # boundary.  Each worker replays against its own (inherited,
-        # fresh) honeypot fleet.
-        _FORK_STATE = {"plan": plan, "shards": shards, "seed": seed,
-                       "telemetry_enabled": telemetry_enabled,
-                       "fault_payload": fault_payload,
-                       "ops": worker_ops, "bus_queue": bus_queue}
-        try:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=self.workers,
-                                     mp_context=context) as pool:
-                futures = [pool.submit(_replay_shard_forked, index)
-                           for index in range(len(shards))]
-                try:
-                    return [future.result() for future in futures]
-                except BrokenProcessPool as error:
-                    raise WorkerLostError(
-                        "shard worker process died mid-replay") \
-                        from error
-        finally:
-            _FORK_STATE = None
 
 
 def resolve_workers(requested: "int | str", *,

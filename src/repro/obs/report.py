@@ -158,9 +158,11 @@ def format_summary(manifest: dict) -> str:
                 for shard in replay["shards"]]
         table = _format_table(["shard", "visits", "events", "seconds"],
                               rows)
-        merge = replay.get("merge_seconds")
-        if merge is not None:
-            table += f"\nmerge: {merge:.3f}s ({replay.get('pool', '?')} pool)"
+        wait = replay.get("wait_seconds")
+        if wait is not None:
+            table += (f"\ntransport wait: {wait:.3f} s over "
+                      f"{replay.get('batches', '?')} batches "
+                      f"({replay.get('pool', '?')} pool)")
         sections.append(
             f"replay ({replay.get('executor', '?')}, "
             f"{replay.get('workers', '?')} workers)\n" + table)

@@ -41,12 +41,14 @@ from typing import Callable, Iterable, Iterator
 
 from repro import obs
 from repro.netsim.geoip import GeoIPDatabase
-from repro.pipeline.enrich import (_FALLBACK, EnrichedEvent, enrich_events,
-                                   enrich_iter)
+from repro.pipeline.enrich import _FALLBACK
 from repro.pipeline.institutional import InstitutionalScannerList
 from repro.pipeline.logstore import LogEvent
 from repro.resilience import faults
 from repro.resilience.retry import sqlite_busy_retry
+
+#: Row columns of a failed lookup (:data:`_FALLBACK` as stored).
+_FALLBACK_ROW = (*_FALLBACK[:4], int(_FALLBACK[4]))
 
 #: Events enriched + inserted per transaction.
 CHUNK_ROWS = 4096
@@ -402,20 +404,11 @@ def convert_durable(get: Callable[[], object], db_path: str | Path,
     return {"path": db_path, "rows": rows_written, "digest": digest.hex()}
 
 
-def _row(enriched: EnrichedEvent) -> tuple:
-    event = enriched.event
-    return (event.timestamp, event.honeypot_id, event.honeypot_type,
-            event.dbms, event.interaction, event.config, event.src_ip,
-            event.src_port, event.event_type, event.action, event.username,
-            event.password, event.raw, enriched.country, enriched.asn,
-            enriched.as_name, enriched.as_type,
-            int(enriched.institutional))
-
-
 def _rows(events: list[LogEvent], geoip: GeoIPDatabase,
           scanners: InstitutionalScannerList, cache: dict) -> list[tuple]:
-    """Fused enrich + row build: ``[_row(e) for e in enrich_iter(...)]``
-    without the per-event :class:`EnrichedEvent` intermediate.
+    """Fused enrich + row build: one ``event + metadata`` tuple per
+    event, the columns :func:`repro.pipeline.enrich.enrich_iter` would
+    annotate it with, without the per-event ``EnrichedEvent``.
 
     Must stay behaviorally identical to that composition: the keyed
     ``enrich.lookup`` fault fires once per cache miss, only successful
@@ -434,18 +427,13 @@ def _rows(events: list[LogEvent], geoip: GeoIPDatabase,
                 record = geoip.lookup(event.src_ip)
                 metadata = (record.country, record.asn, record.as_name,
                             record.as_type.value,
-                            scanners.is_institutional(event.src_ip,
-                                                      record.asn))
+                            int(scanners.is_institutional(event.src_ip,
+                                                          record.asn)))
                 cache[event.src_ip] = metadata
             except Exception:
                 obs.current().metrics.inc("resilience.enrich_fallbacks")
-                metadata = _FALLBACK
-        country, asn, as_name, as_type, institutional = metadata
-        append((event.timestamp, event.honeypot_id, event.honeypot_type,
-                event.dbms, event.interaction, event.config, event.src_ip,
-                event.src_port, event.event_type, event.action,
-                event.username, event.password, event.raw, country, asn,
-                as_name, as_type, int(institutional)))
+                metadata = _FALLBACK_ROW
+        append(event + metadata)
     return rows
 
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro import obs
 
@@ -29,9 +28,11 @@ class EventType(str, enum.Enum):
     MALFORMED = "malformed"
 
 
-@dataclass(frozen=True, slots=True)
-class LogEvent:
+class LogEvent(NamedTuple):
     """One observation made by a honeypot.
+
+    A named tuple: immutable, and cheap to ship across the shard process
+    boundary as a plain ``tuple`` (see ``VisitOutcome.__reduce__``).
 
     Attributes
     ----------
@@ -77,27 +78,9 @@ class LogEvent:
     raw: str | None = None
 
     def to_json(self) -> str:
-        """Serialize as a single JSON line.
-
-        The dict literal spells the fields in declaration order, so the
-        output bytes are identical to the historical ``asdict()`` form
-        without paying its recursive copy on every event.
-        """
-        return json.dumps(
-            {"timestamp": self.timestamp,
-             "honeypot_id": self.honeypot_id,
-             "honeypot_type": self.honeypot_type,
-             "dbms": self.dbms,
-             "interaction": self.interaction,
-             "config": self.config,
-             "src_ip": self.src_ip,
-             "src_port": self.src_port,
-             "event_type": self.event_type,
-             "action": self.action,
-             "username": self.username,
-             "password": self.password,
-             "raw": self.raw},
-            separators=(",", ":"), ensure_ascii=False)
+        """Serialize as a single JSON line (fields in declaration order)."""
+        return json.dumps(self._asdict(), separators=(",", ":"),
+                          ensure_ascii=False)
 
     @classmethod
     def from_json(cls, line: str) -> "LogEvent":

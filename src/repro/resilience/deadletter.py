@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, TYPE_CHECKING, Iterable
 
 from repro import obs
+
+if TYPE_CHECKING:
+    from repro.pipeline.logstore import LogEvent
 
 
 class DeadLetterWriter:
@@ -39,15 +41,14 @@ class DeadLetterWriter:
         self._handle: IO[str] | None = None
 
     def quarantine(self, kind: str, reason: str, *,
-                   events: Iterable[object] = (),
+                   events: Iterable[LogEvent] = (),
                    **context: object) -> dict:
         """Record one quarantined unit; returns the record written."""
         record = {
             "kind": kind,
             "reason": reason,
             **context,
-            "events": [asdict(event) if is_dataclass(event) else event
-                       for event in events],
+            "events": [event._asdict() for event in events],
         }
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
