@@ -5,8 +5,8 @@ excluded) for each executor, records events/second and the speedup over
 serial, and snapshots the numbers to ``BENCH_replay.json``.
 
 The numbers are honest for the machine they ran on: sharding pays a
-fork + outcome-transport overhead (``wait_seconds`` blocked on the
-outcome queue over ``batches`` messages) that only amortizes when real
+fork + outcome-transport overhead (``wait_seconds`` blocked receiving
+outcomes over ``batches`` messages) that only amortizes when real
 cores are available, so on a single-CPU container the sharded engines are
 *slower* than serial.  ``cpu_count`` is recorded alongside the timings
 so a reader can tell the difference between "sharding is broken" and

@@ -31,7 +31,6 @@ it).  Disabled (the default), every hook is a no-op.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 import uuid
@@ -692,8 +691,7 @@ def _write_partial_report(config: ExperimentConfig, output_dir: Path,
 
     A killed checkpointed run then still answers ``repro stats`` with
     how far it durably got; the final manifest overwrites this on
-    clean completion.  Written atomically -- a crash mid-write must
-    not leave a torn manifest behind.
+    clean completion.
     """
     manifest = {
         "schema": obs_report.SCHEMA,
@@ -711,10 +709,7 @@ def _write_partial_report(config: ExperimentConfig, output_dir: Path,
         "checkpoint": {"count": checkpointer.count,
                        "journal": str(journal.path)},
     }
-    path = output_dir / obs_report.REPORT_FILENAME
-    tmp = path.with_name(path.name + ".tmp")
-    obs_report.write_report(manifest, tmp)
-    os.replace(tmp, path)
+    obs_report.write_report(manifest, output_dir / obs_report.REPORT_FILENAME)
 
 
 def _finalize_report(config: ExperimentConfig, telemetry: obs.Telemetry,

@@ -38,8 +38,10 @@ Workers prefer a ``fork``-context process pool (each worker inherits
 the already-built plan and schedule copy-on-write); where ``fork`` is
 unavailable the engine falls back to threads, whose per-shard runtime
 contexts install thread-locally (see :mod:`repro.runtime`).  Either way
-a worker ships its outcomes over one queue in batches of
-:data:`OUTCOME_BATCH` visits, and the driver runs a streaming k-way
+a worker ships its outcomes in batches of :data:`OUTCOME_BATCH` visits
+(a forked worker over its shard's own pipe, so a worker that dies even
+mid-message gives the driver an end of file, not a partial read that
+blocks for good), and the driver runs a streaming k-way
 merge over the per-shard streams: an outcome is yielded as soon as
 every unfinished shard has one buffered, so the sink pipeline (and
 SQLite conversion behind it) overlaps the replay instead of waiting for
@@ -50,6 +52,7 @@ plain tuple (:meth:`VisitOutcome.__reduce__`), which pickles in C.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import queue as queue_module
 import random
@@ -179,12 +182,11 @@ class VisitOutcome:
 
 def _rebuild_outcome(offset, actor_ip, sequence, target_key, events,
                      *rest) -> VisitOutcome:
-    """Unpickle a :class:`VisitOutcome`: ``tuple.__new__`` re-types each
-    plain tuple as a :class:`LogEvent` without re-running its
-    constructor."""
-    new = tuple.__new__
+    """Unpickle a :class:`VisitOutcome`, re-typing each plain tuple as a
+    :class:`LogEvent` without re-running its constructor."""
+    new = LogEvent._from_tuple
     return VisitOutcome(offset, actor_ip, sequence, target_key,
-                        [new(LogEvent, event) for event in events], *rest)
+                        [new(event) for event in events], *rest)
 
 
 @dataclass(slots=True)
@@ -412,7 +414,7 @@ class _ShardResult:
     #: :meth:`repro.runtime.RunContext.report` of the worker.
     report: dict
     #: Shard totals, counted in the worker (the outcomes themselves
-    #: went to the driver over the outcome queue).
+    #: went to the driver as they replayed).
     visits: int = 0
     events: int = 0
     quarantined: int = 0
@@ -422,7 +424,7 @@ class _ShardResult:
 #: immediately before the pool is created (workers inherit it).
 _FORK_STATE: dict | None = None
 
-#: Visits per outcome-queue message: large enough that queue and pickle
+#: Visits per outcome message: large enough that transport and pickle
 #: overhead amortize, small enough that the driver's merge (and the
 #: SQLite writers behind it) never wait long for a shard's next outcome.
 OUTCOME_BATCH = 128
@@ -432,12 +434,13 @@ def _replay_shard(plan: DeploymentPlan, shard: int,
                   schedule: Sequence[ScheduledVisit], seed: int,
                   telemetry_enabled: bool,
                   fault_payload: dict | None,
-                  ops: _WorkerOps, bus_queue, outcome_queue) -> _ShardResult:
+                  ops: _WorkerOps, bus_queue,
+                  send: Callable[[tuple], None]) -> _ShardResult:
     """Replay one shard under its own thread-local runtime context.
 
-    Outcomes go to the driver as they replay: one ``("batch", shard,
-    outcomes)`` message per :data:`OUTCOME_BATCH` visits, the last one
-    partial, then one ``("done", shard)`` marker.
+    Outcomes go to the driver through ``send`` as they replay: one
+    ``("batch", shard, outcomes)`` message per :data:`OUTCOME_BATCH`
+    visits, the last one partial, then one ``("done", shard)`` marker.
     """
     context = worker_context(telemetry_enabled, fault_payload,
                              tracing=ops.tracing)
@@ -507,11 +510,11 @@ def _replay_shard(plan: DeploymentPlan, shard: int,
                     emitter.advance(outcome.event_total())
                 batch.append(outcome)
                 if len(batch) == OUTCOME_BATCH:
-                    outcome_queue.put(("batch", shard, batch))
+                    send(("batch", shard, batch))
                     batch = []
         if batch:
-            outcome_queue.put(("batch", shard, batch))
-        outcome_queue.put(("done", shard))
+            send(("batch", shard, batch))
+        send(("done", shard))
         if emitter is not None:
             emitter.flush()
         logger.info("shard.done", visits=visits, events=events_total)
@@ -573,16 +576,51 @@ def _merge_ready(buffers: list[deque], done: list[bool]
 def _replay_shard_forked(shard: int) -> _ShardResult:
     state = _FORK_STATE
     assert state is not None, "fork state not set before pool creation"
-    outcome_queue = state["outcome_queue"]
-    # On every normal path the driver reads through this shard's "done"
-    # marker before the pool shuts down, so nothing is left to flush at
-    # exit.  If the driver abandons the merge instead, a feeder thread
-    # blocked on the full pipe must not hang the worker's exit.
-    outcome_queue.cancel_join_thread()
+    # Only the driver may hold read ends: if it abandons the merge and
+    # closes them, a send blocked on a full pipe fails (EPIPE) instead
+    # of hanging the pool's shutdown.
+    for reader in state["readers"]:
+        reader.close()
     return _replay_shard(state["plan"], shard, state["shards"][shard],
                          state["seed"], state["telemetry_enabled"],
                          state["fault_payload"], state["ops"],
-                         state["bus_queue"], outcome_queue)
+                         state["bus_queue"], state["writers"][shard].send)
+
+
+def _pipe_receiver(readers: list) -> Callable[[float], list]:
+    """Receive from the shards' pipes: each call waits up to ``timeout``
+    and returns one message from every pipe that had one ready.
+
+    A pipe whose shard is done leaves the wait set.  Only workers hold
+    write ends, so once a worker has died and the pool has terminated
+    the rest, every read ends -- even one that stopped mid-message.
+    """
+    open_readers = dict(enumerate(readers))
+
+    def receive(timeout: float) -> list:
+        messages = []
+        for reader in multiprocessing.connection.wait(
+                list(open_readers.values()), timeout):
+            try:
+                message = reader.recv()
+            except (EOFError, OSError) as error:
+                raise WorkerLostError(
+                    "shard worker process died mid-replay") from error
+            if message[0] == "done":
+                del open_readers[message[1]]
+            messages.append(message)
+        return messages
+    return receive
+
+
+def _queue_receiver(out_queue) -> Callable[[float], list]:
+    """Receive from the thread pool's shared queue, one message a call."""
+    def receive(timeout: float) -> list:
+        try:
+            return [out_queue.get(timeout=timeout)]
+        except queue_module.Empty:
+            return []
+    return receive
 
 
 class ShardedExecutor(ReplayEngine):
@@ -652,30 +690,36 @@ class ShardedExecutor(ReplayEngine):
         self.live_bus = bus
         bus_queue = bus.queue if bus is not None else None
 
-        out_queue = self._make_outcome_queue()
         buffers: list[deque] = [deque() for _ in shards]
         done = [False] * len(shards)
         wait_seconds = 0.0
         batches = 0
         try:
+            readers = writers = []
             if self.pool == "thread":
                 pool = ThreadPoolExecutor(max_workers=self.workers)
+                out_queue = queue_module.Queue()
+                receive = _queue_receiver(out_queue)
 
                 def submit(index: int):
                     return pool.submit(_replay_shard, plan, index,
                                        shards[index], seed,
                                        telemetry.enabled, fault_payload,
-                                       worker_ops, bus_queue, out_queue)
+                                       worker_ops, bus_queue, out_queue.put)
             else:
                 # Workers inherit plan + shards copy-on-write, so nothing
                 # is rebuilt and only outcomes cross the process
                 # boundary.  Each worker replays against its own
                 # (inherited, fresh) honeypot fleet.
+                readers, writers = zip(*(multiprocessing.Pipe(duplex=False)
+                                         for _ in shards))
+                receive = _pipe_receiver(readers)
                 _FORK_STATE = {
                     "plan": plan, "shards": shards, "seed": seed,
                     "telemetry_enabled": telemetry.enabled,
                     "fault_payload": fault_payload, "ops": worker_ops,
-                    "bus_queue": bus_queue, "outcome_queue": out_queue}
+                    "bus_queue": bus_queue, "readers": readers,
+                    "writers": writers}
                 pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     mp_context=multiprocessing.get_context("fork"))
@@ -685,24 +729,30 @@ class ShardedExecutor(ReplayEngine):
 
             with pool:
                 futures = [submit(index) for index in range(len(shards))]
+                # A fork pool starts all its workers on the first
+                # submit; from here on only they hold write ends.
+                for writer in writers:
+                    writer.close()
                 pending = len(shards)
-                while pending:
-                    waited = time.perf_counter()
-                    try:
-                        message = out_queue.get(timeout=0.25)
-                    except queue_module.Empty:
-                        message = None
-                    wait_seconds += time.perf_counter() - waited
-                    if message is None:
-                        _check_futures(futures)
-                        continue
-                    if message[0] == "done":
-                        done[message[1]] = True
-                        pending -= 1
-                    else:
-                        buffers[message[1]].extend(message[2])
-                        batches += 1
-                    yield from _merge_ready(buffers, done)
+                try:
+                    while pending:
+                        waited = time.perf_counter()
+                        messages = receive(0.25)
+                        wait_seconds += time.perf_counter() - waited
+                        if not messages:
+                            _check_futures(futures)
+                            continue
+                        for message in messages:
+                            if message[0] == "done":
+                                done[message[1]] = True
+                                pending -= 1
+                            else:
+                                buffers[message[1]].extend(message[2])
+                                batches += 1
+                        yield from _merge_ready(buffers, done)
+                finally:
+                    for reader in readers:
+                        reader.close()
                 try:
                     results = [future.result() for future in futures]
                 except BrokenProcessPool as error:
@@ -722,7 +772,7 @@ class ShardedExecutor(ReplayEngine):
             "executor": self.name,
             "workers": self.workers,
             "pool": self.pool,
-            # Driver time blocked on the outcome queue, and the outcome
+            # Driver time blocked receiving outcomes, and the outcome
             # batches it received (``"done"`` markers not counted).
             "wait_seconds": wait_seconds,
             "batches": batches,
@@ -788,13 +838,6 @@ class ShardedExecutor(ReplayEngine):
         if self.pool == "thread":
             return queue_module.Queue()
         return multiprocessing.get_context("fork").SimpleQueue()
-
-    def _make_outcome_queue(self):
-        """The outcome queue needs ``get(timeout=...)`` (so the driver
-        can poll for dead workers), which SimpleQueue lacks."""
-        if self.pool == "thread":
-            return queue_module.Queue()
-        return multiprocessing.get_context("fork").Queue()
 
 
 def resolve_workers(requested: "int | str", *,

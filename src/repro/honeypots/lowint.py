@@ -213,6 +213,13 @@ class LowInteractionMSSQL(Honeypot):
         return _MSSQLSession(self.info, context)
 
 
+#: The framed PRELOGIN reply: version 16.0, encryption not supported.
+_PRELOGIN_REPLY = tds.frame(tds.PKT_RESPONSE, tds.build_prelogin({
+    tds.PRELOGIN_VERSION: b"\x10\x00\x10\x00\x00\x00",
+    tds.PRELOGIN_ENCRYPTION: bytes([tds.ENCRYPT_NOT_SUP]),
+}))
+
+
 class _MSSQLSession(HoneypotSession):
 
     def __init__(self, info: HoneypotInfo, context: SessionContext):
@@ -235,11 +242,7 @@ class _MSSQLSession(HoneypotSession):
 
     def _handle(self, packet_type: int, payload: bytes) -> bytes:
         if packet_type == tds.PKT_PRELOGIN:
-            response = tds.build_prelogin({
-                tds.PRELOGIN_VERSION: b"\x10\x00\x10\x00\x00\x00",
-                tds.PRELOGIN_ENCRYPTION: bytes([tds.ENCRYPT_NOT_SUP]),
-            })
-            return tds.frame(tds.PKT_RESPONSE, response)
+            return _PRELOGIN_REPLY
         if packet_type == tds.PKT_LOGIN7:
             try:
                 login = tds.parse_login7(payload)

@@ -58,7 +58,7 @@ class SimClock:
 
         The conversion is cached until the clock next moves: replay
         seeks once per visit but stamps every event, so this is called
-        ~160k times per run against a handful of distinct instants.
+        ~257k times per run against a handful of distinct instants.
         """
         ts = self._timestamp
         if ts is None:

@@ -10,7 +10,9 @@ peak RSS.  :func:`write_report` / :func:`load_report` round-trip it;
 from __future__ import annotations
 
 import json
+import os
 import sys
+import threading
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,12 +35,25 @@ def peak_rss_bytes() -> int | None:
 
 
 def write_report(manifest: dict, path: str | Path) -> Path:
-    """Serialize ``manifest`` to ``path`` as pretty-printed JSON."""
+    """Serialize ``manifest`` to ``path`` as pretty-printed JSON.
+
+    Written to a temporary file of this process and thread, then
+    renamed over ``path``: a crash mid-write leaves the previous
+    manifest in place, never a torn one, and concurrent writers (the
+    live reporter and the checkpoint partials) never share a file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=False)
-        handle.write("\n")
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=False)
+            handle.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -77,6 +77,12 @@ class LogEvent(NamedTuple):
     password: str | None = None
     raw: str | None = None
 
+    #: Re-type a tuple already in field order as a ``LogEvent`` without
+    #: ``__new__``'s argument binding: the one positional constructor
+    #: of the per-event hot paths (``HoneypotSession.log``, outcome
+    #: unpickling).  It checks nothing, so callers pass every field.
+    _from_tuple = classmethod(tuple.__new__)
+
     def to_json(self) -> str:
         """Serialize as a single JSON line (fields in declaration order)."""
         return json.dumps(self._asdict(), separators=(",", ":"),

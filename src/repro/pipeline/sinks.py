@@ -276,7 +276,7 @@ class SQLiteWriterSink:
     _SENTINEL = object()
     #: Events accumulated driver-side before one queue hand-off.  The
     #: replay loop and the writer threads share the GIL; batching turns
-    #: ~160k per-event ``put``/``get`` wakeups per run into a few
+    #: ~257k per-event ``put``/``get`` wakeups per run into a few
     #: hundred, without changing event order or durability semantics
     #: (commit barriers and close flush the partial batch first).
     BATCH = 512

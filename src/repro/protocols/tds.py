@@ -12,6 +12,8 @@ https://learn.microsoft.com/en-us/openspecs/windows_protocols/ms-tds/
 from __future__ import annotations
 
 import struct
+from codecs import utf_16_le_decode as _utf16_decode
+from codecs import utf_16_le_encode as _utf16_encode
 from dataclasses import dataclass, field
 
 from repro.protocols.errors import ProtocolError
@@ -106,10 +108,7 @@ def build_prelogin(options: dict[int, bytes] | None = None) -> bytes:
     typical client offer (version 0, encryption not supported).
     """
     if options is None:
-        options = {
-            PRELOGIN_VERSION: struct.pack(">IH", 0x0F000000, 0),
-            PRELOGIN_ENCRYPTION: bytes([ENCRYPT_NOT_SUP]),
-        }
+        return _DEFAULT_PRELOGIN
     items = sorted(options.items())
     header_size = len(items) * 5 + 1
     header = bytearray()
@@ -121,6 +120,12 @@ def build_prelogin(options: dict[int, bytes] | None = None) -> bytes:
         offset += len(data)
     header.append(PRELOGIN_TERMINATOR)
     return bytes(header + body)
+
+
+_DEFAULT_PRELOGIN = build_prelogin({
+    PRELOGIN_VERSION: struct.pack(">IH", 0x0F000000, 0),
+    PRELOGIN_ENCRYPTION: bytes([ENCRYPT_NOT_SUP]),
+})
 
 
 def parse_prelogin(payload: bytes) -> dict[int, bytes]:
@@ -159,109 +164,90 @@ class Login7:
     database: str
 
 
-_LOGIN7_FIXED = struct.Struct("<IIIIIIBBBBiI")
+#: Total length, then the fixed fields (TDS version first).
+_LOGIN7_HEAD = struct.Struct("<IIIIIIIBBBBiI")
+#: Nine (offset, length) slots: hostname, username, password, app name,
+#: server name, unused, library name, language, database.
+_LOGIN7_SLOTS = struct.Struct("<18H")
+_LOGIN7_SLOTS_AT = _LOGIN7_HEAD.size
+#: ClientID (6), SSPI, AtchDBFile, ChangePassword (4 each), SSPILong (4).
+_LOGIN7_TAIL = bytes(22)
+_LOGIN7_DATA_AT = _LOGIN7_SLOTS_AT + _LOGIN7_SLOTS.size + len(_LOGIN7_TAIL)
+
+#: LOGIN7 password obfuscation: each byte's nibbles are swapped and the
+#: result XORed with 0xA5.
+_OBFUSCATE = bytes(((b << 4 | b >> 4) & 0xFF) ^ 0xA5 for b in range(256))
+_DEOBFUSCATE = bytes.maketrans(_OBFUSCATE, bytes(range(256)))
 
 
 def obfuscate_password(password: str) -> bytes:
-    """Apply the LOGIN7 password obfuscation to UCS-2 encoded text.
-
-    Each byte's nibbles are swapped and the result XORed with 0xA5.
-    """
-    out = bytearray()
-    for byte in password.encode("utf-16-le"):
-        out.append((((byte << 4) | (byte >> 4)) & 0xFF) ^ 0xA5)
-    return bytes(out)
+    """Apply the LOGIN7 password obfuscation to UCS-2 encoded text."""
+    return _utf16_encode(password)[0].translate(_OBFUSCATE)
 
 
 def deobfuscate_password(data: bytes) -> str:
     """Invert :func:`obfuscate_password`."""
-    out = bytearray()
-    for byte in data:
-        plain = byte ^ 0xA5
-        out.append(((plain << 4) | (plain >> 4)) & 0xFF)
-    return out.decode("utf-16-le", "replace")
+    return _utf16_decode(data.translate(_DEOBFUSCATE), "replace", True)[0]
 
 
 def build_login7(username: str, password: str, *, hostname: str = "client",
                  app_name: str = "osql", server_name: str = "",
                  library_name: str = "ODBC", database: str = "",
                  tds_version: int = TDS_VERSION_74) -> bytes:
-    """Encode a LOGIN7 payload (unframed)."""
-    strings = [hostname, username, None, app_name, server_name, "",
-               library_name, "", database]
-    fixed_size = 4 + _LOGIN7_FIXED.size + 9 * 4 + 6 + 4 + 4 + 4 + 4
-    data = bytearray()
-    offsets: list[tuple[int, int]] = []
-    for value in strings:
-        if value is None:  # password slot
-            encoded = obfuscate_password(password)
-            offsets.append((fixed_size + len(data), len(password)))
-        else:
-            encoded = value.encode("utf-16-le")
-            offsets.append((fixed_size + len(data), len(value)))
-        data += encoded
-    packet = bytearray()
-    packet += struct.pack("<I", fixed_size + len(data))
-    packet += _LOGIN7_FIXED.pack(tds_version, 4096, 0x07000000, 100, 0,
-                                 0xE0, 0x03, 0, 0, 0, 0, 0x0409)
-    for offset, length in offsets:
-        packet += struct.pack("<HH", offset, length)
-    packet += b"\x00" * 6          # ClientID (MAC address)
-    packet += struct.pack("<HH", 0, 0)   # SSPI
-    packet += struct.pack("<HH", 0, 0)   # AtchDBFile
-    packet += struct.pack("<HH", 0, 0)   # ChangePassword
-    packet += struct.pack("<I", 0)       # SSPILong
-    packet += data
-    return bytes(packet)
+    """Encode a LOGIN7 payload (unframed).
+
+    Slot lengths are ``len()`` of each string: a non-BMP character
+    counts once, though it encodes to two UTF-16 code units.
+    """
+    strings = (hostname, username, password, app_name, server_name, "",
+               library_name, "", database)
+    data = [_utf16_encode(value)[0] for value in strings]
+    data[2] = data[2].translate(_OBFUSCATE)
+    slots = []
+    offset = _LOGIN7_DATA_AT
+    for value, encoded in zip(strings, data):
+        slots += (offset, len(value))
+        offset += len(encoded)
+    return b"".join((
+        _LOGIN7_HEAD.pack(offset, tds_version, 4096, 0x07000000, 100, 0,
+                          0xE0, 0x03, 0, 0, 0, 0, 0x0409),
+        _LOGIN7_SLOTS.pack(*slots), _LOGIN7_TAIL, *data))
 
 
 def parse_login7(payload: bytes) -> Login7:
     """Decode a LOGIN7 payload, de-obfuscating the password."""
-    if len(payload) < 4 + _LOGIN7_FIXED.size + 9 * 4:
+    if len(payload) < _LOGIN7_SLOTS_AT + _LOGIN7_SLOTS.size:
         raise ProtocolError("truncated LOGIN7 packet")
-    (total_length,) = struct.unpack_from("<I", payload, 0)
+    total_length, tds_version = _LOGIN7_HEAD.unpack_from(payload)[:2]
     if total_length > len(payload):
         raise ProtocolError("LOGIN7 length exceeds payload")
-    fixed = _LOGIN7_FIXED.unpack_from(payload, 4)
-    tds_version = fixed[0]
-    offset = 4 + _LOGIN7_FIXED.size
-    slots = []
-    for _ in range(9):
-        pos, length = struct.unpack_from("<HH", payload, offset)
-        slots.append((pos, length))
-        offset += 4
+    slots = _LOGIN7_SLOTS.unpack_from(payload, _LOGIN7_SLOTS_AT)
+    text = [_utf16_decode(payload[slots[i]:slots[i] + 2 * slots[i + 1]],
+                          "replace", True)[0] for i in (0, 2, 6, 8, 12, 16)]
+    password = deobfuscate_password(payload[slots[4]:slots[4] + 2 * slots[5]])
+    return Login7(tds_version, text[0], text[1], password, *text[2:])
 
-    def text(index: int) -> str:
-        pos, length = slots[index]
-        raw = payload[pos:pos + length * 2]
-        return raw.decode("utf-16-le", "replace")
 
-    password_pos, password_len = slots[2]
-    password = deobfuscate_password(
-        payload[password_pos:password_pos + password_len * 2])
-    return Login7(tds_version, text(0), text(1), password, text(3), text(4),
-                  text(6), text(8))
+_TOKEN_HEAD = struct.Struct("<BH")
+_ERROR_HEAD = struct.Struct("<IBBH")
 
 
 def build_error_token(number: int, message: str, *, state: int = 1,
                       severity: int = 14,
                       server_name: str = "MSSQLSERVER") -> bytes:
     """Encode an ERROR token (0xAA) for the response stream."""
-    msg = message.encode("utf-16-le")
-    server = server_name.encode("utf-16-le")
-    body = bytearray()
-    body += struct.pack("<IBB", number, state, severity)
-    body += struct.pack("<H", len(message)) + msg
-    body += bytes([len(server_name)]) + server
-    body += bytes([0])                 # proc name length
-    body += struct.pack("<I", 0)       # line number
-    return bytes([TOKEN_ERROR]) + struct.pack("<H", len(body)) + bytes(body)
+    body = b"".join((
+        _ERROR_HEAD.pack(number, state, severity, len(message)),
+        _utf16_encode(message)[0], bytes((len(server_name),)),
+        _utf16_encode(server_name)[0],
+        bytes(5)))                     # proc name length, line number
+    return _TOKEN_HEAD.pack(TOKEN_ERROR, len(body)) + body
 
 
 def build_loginack_token(program_name: str = "Microsoft SQL Server",
                          tds_version: int = TDS_VERSION_74) -> bytes:
     """Encode a LOGINACK token (0xAD)."""
-    prog = program_name.encode("utf-16-le")
+    prog = _utf16_encode(program_name)[0]
     body = bytearray()
     body += bytes([1])                     # interface: SQL_TSQL
     body += struct.pack(">I", tds_version)
@@ -301,7 +287,8 @@ def parse_tokens(payload: bytes) -> list[object]:
             body = payload[offset + 3:offset + 3 + length]
             number, state, severity = struct.unpack_from("<IBB", body, 0)
             (msg_len,) = struct.unpack_from("<H", body, 6)
-            message = body[8:8 + msg_len * 2].decode("utf-16-le", "replace")
+            message = _utf16_decode(body[8:8 + msg_len * 2], "replace",
+                                    True)[0]
             tokens.append(ErrorToken(number, state, severity, message))
             offset += 3 + length
         elif token == TOKEN_LOGINACK:

@@ -204,6 +204,21 @@ class TestDurableSink:
         assert resumed.committed_state == uninterrupted
         assert prefix_digest(db, 30) == uninterrupted["digest"]
 
+    def test_resume_over_database_without_schema(self, tmp_path, world):
+        # A run killed right after its first checkpoint can leave a
+        # tier's database file created but still empty (0 rows
+        # committed, no schema yet); resume must cut and reopen it.
+        db = tmp_path / "db.sqlite"
+        db.touch()
+        assert truncate_events(db, 0) == 0
+        events = [make_event(src_port=p) for p in range(6100, 6105)]
+        resumed = self._write(tmp_path, world, events,
+                              resume=(0, DIGEST_SEED.hex()))
+        resumed.close()
+        fresh = self._write(tmp_path / "fresh", world, events)
+        fresh.close()
+        assert resumed.committed_state == fresh.committed_state
+
     def test_prefix_digest_detects_tamper_and_short_db(self, tmp_path,
                                                        world):
         sink = self._write(tmp_path, world,

@@ -2,6 +2,7 @@
 timers, manifest round-trip, and the instrumented experiment driver."""
 
 import json
+import sys
 import threading
 from pathlib import Path
 
@@ -272,6 +273,60 @@ class TestManifest:
         manifest = self.make_manifest()
         path = obs_report.write_report(manifest, tmp_path / "r.json")
         assert obs_report.load_report(path) == manifest
+
+    def test_write_leaves_no_temporary_file(self, tmp_path):
+        path = obs_report.write_report(self.make_manifest(),
+                                       tmp_path / "run_report.json")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_keeps_previous_manifest(self, tmp_path,
+                                                  monkeypatch):
+        manifest = self.make_manifest()
+        path = obs_report.write_report(manifest,
+                                       tmp_path / "run_report.json")
+
+        def torn_dump(obj, handle, **kwargs):
+            handle.write(json.dumps(obj, **kwargs)[:40])
+            handle.flush()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(obs_report.json, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            obs_report.write_report({**manifest, "run_id": "next"}, path)
+        monkeypatch.undo()
+        assert obs_report.load_report(path) == manifest
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_concurrent_writers_never_tear_the_manifest(self, tmp_path):
+        # The live reporter's thread and the driver's checkpoint
+        # partials both rewrite run_report.json during one run.
+        path = tmp_path / "run_report.json"
+        manifests = [{**self.make_manifest(), "run_id": f"writer-{i}",
+                      "padding": [i] * 2000} for i in range(2)]
+        errors = []
+
+        def write_many(manifest):
+            try:
+                for _ in range(200):
+                    obs_report.write_report(manifest, path)
+            except BaseException as error:  # surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=write_many, args=(m,))
+                   for m in manifests]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert obs_report.load_report(path) in manifests
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"

@@ -1,8 +1,12 @@
 """Tests for the TDS (MSSQL) codec."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.honeypots import LowInteractionMSSQL
+from repro.honeypots.base import MemoryWire
 from repro.protocols import tds
 from repro.protocols.errors import ProtocolError
 
@@ -115,3 +119,107 @@ class TestTokens:
     def test_unknown_token_raises(self):
         with pytest.raises(ProtocolError):
             tds.parse_tokens(b"\x42\x00\x00")
+
+
+class TestGoldenBytes:
+    """Exact encodings, pinned so a symmetric byte change cannot pass."""
+
+    def test_default_prelogin(self):
+        assert tds.build_prelogin().hex() == (
+            "00000b00060100110001ff0f000000000002")
+
+    def test_mssql_honeypot_prelogin_reply(self, session_context):
+        wire = MemoryWire(LowInteractionMSSQL("hp"), session_context)
+        wire.connect()
+        reply = wire.send(tds.frame(tds.PKT_PRELOGIN, tds.build_prelogin()))
+        assert reply.hex() == (
+            "0401001a0000010000000b00060100110001ff10001000000002")
+
+    @pytest.mark.parametrize("args, kwargs, expected", [
+        (("sa", "P@ssw0rd!"), {},
+         "940000000400007400100000000000076400000000000000e0000000"
+         "030000000000000009040000620006006e0002007200090084000400"
+         "8c0000008c0000008c00040094000000940000000000000000000000"
+         "000000000000000000000000000063006c00690065006e0074007300"
+         "6100a0a5a1a592a592a5d2a5a6a582a5e3a5b7a56f00730071006c00"
+         "4f00440042004300"),
+        (("hbv7", ""), {},
+         "860000000400007400100000000000076400000000000000e0000000"
+         "030000000000000009040000620006006e0004007600000076000400"
+         "7e0000007e0000007e00040086000000860000000000000000000000"
+         "000000000000000000000000000063006c00690065006e0074006800"
+         "6200760037006f00730071006c004f00440042004300"),
+        # A non-BMP character counts once in its slot but is four bytes.
+        (("admin", "pw\U0001F600x"), {},
+         "920000000400007400100000000000076400000000000000e0000000"
+         "030000000000000009040000620006006e0005007800040082000400"
+         "8a0000008a0000008a00040092000000920000000000000000000000"
+         "000000000000000000000000000063006c00690065006e0074006100"
+         "64006d0069006e00a2a5d2a57628a54822a56f00730071006c004f00"
+         "440042004300"),
+        (("sa", "123"), {"hostname": "WIN-1", "app_name": "sqlcmd",
+                         "database": "master"},
+         "960000000400007400100000000000076400000000000000e0000000"
+         "030000000000000009040000620005006c0002007000030076000600"
+         "8200000082000000820004008a0000008a0006000000000000000000"
+         "0000000000000000000000000000570049004e002d00310073006100"
+         "b6a586a596a5730071006c0063006d0064004f004400420043006d00"
+         "61007300740065007200"),
+    ], ids=["ascii", "empty-password", "non-bmp-password", "database"])
+    def test_login7(self, args, kwargs, expected):
+        assert tds.build_login7(*args, **kwargs).hex() == expected
+
+    def test_login_failed_error_token(self):
+        raw = tds.build_error_token(tds.MSSQL_LOGIN_FAILED,
+                                    "Login failed for user 'sa'.")
+        assert raw.hex() == (
+            "aa5a0018480000010e1b004c006f00670069006e0020006600610069006c"
+            "0065006400200066006f00720020007500730065007200200027007300"
+            "610027002e000b4d005300530051004c00530045005200560045005200"
+            "0000000000")
+
+
+class TestObfuscationTable:
+    def test_every_byte_matches_the_formula(self):
+        # Drive every byte value through the UTF-16 code units 0xNN00.
+        values = bytes(range(256))
+        text = "".join(chr(b) for b in values)
+        obfuscated = tds.obfuscate_password(text)
+        assert obfuscated[0::2] == bytes(
+            (((b << 4) | (b >> 4)) & 0xFF) ^ 0xA5 for b in values)
+        assert set(obfuscated[1::2]) == {0xA5}
+        assert tds.deobfuscate_password(obfuscated) == text
+
+    def test_deobfuscation_inverts_every_byte(self):
+        plain = bytes(range(256))
+        obfuscated = bytes((((b << 4) | (b >> 4)) & 0xFF) ^ 0xA5
+                           for b in plain)
+        assert tds.deobfuscate_password(obfuscated) == plain.decode(
+            "utf-16-le", "replace")
+
+    def test_odd_trailing_byte_becomes_replacement(self):
+        assert tds.deobfuscate_password(b"\x01") == "\ufffd"
+        assert tds.deobfuscate_password(
+            tds.obfuscate_password("ab")[:3]) == "a\ufffd"
+
+
+class TestLogin7Lenient:
+    """Malformed text slots decode with U+FFFD, never raise."""
+
+    def test_slot_with_odd_byte_count(self):
+        raw = tds.build_login7("sa", "123", database="master")[:-1]
+        raw = struct.pack("<I", len(raw)) + raw[4:]
+        parsed = tds.parse_login7(raw)
+        assert parsed.database == "maste\ufffd"
+        assert (parsed.username, parsed.password) == ("sa", "123")
+
+    def test_lone_surrogate(self):
+        raw = bytearray(tds.build_login7("sa", "12"))
+        # The slot table starts at byte 40: username +4, password +8.
+        (user_pos,) = struct.unpack_from("<H", raw, 44)
+        (password_pos,) = struct.unpack_from("<H", raw, 48)
+        raw[user_pos:user_pos + 2] = b"\x00\xd8"  # U+D800 for "s"
+        raw[password_pos + 1] = 0x28              # obfuscated 0xD8
+        parsed = tds.parse_login7(bytes(raw))
+        assert parsed.username == "\ufffda"
+        assert parsed.password == "\ufffd2"

@@ -12,7 +12,14 @@ killed in the middle of a batch.
 
 import hashlib
 import math
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +38,7 @@ from repro.resilience import faults
 from repro.resilience.deadletter import DeadLetterWriter
 
 SEED = 2024
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 EVENT = LogEvent(timestamp=1700000000.125, honeypot_id="low-mysql-007",
                  honeypot_type="qeeqbox", dbms="mysql", interaction="low",
@@ -245,6 +253,101 @@ class TestWorkerKilledMidBatch:
             rows = count_events(want)
             assert count_events(got) == rows
             assert prefix_digest(got, rows) == prefix_digest(want, rows)
+
+
+class TestAbandonedMerge:
+    def test_closing_the_stream_early_releases_blocked_workers(self):
+        # A consumer that stops early (a sink error) closes the stream
+        # while the workers are blocked on full pipes: their sends must
+        # fail so that the pool can shut down.
+        plan, schedule = fresh_schedule()
+        stream = ShardedExecutor(2, pool="fork").replay(
+            schedule, plan, SEED, obs.NULL_TELEMETRY)
+        next(stream)
+        time.sleep(0.5)
+        closer = threading.Thread(target=stream.close, daemon=True)
+        closer.start()
+        closer.join(timeout=60)
+        assert not closer.is_alive()
+
+
+#: Stalls the driver once, waits until a worker is blocked writing a
+#: batch into its full pipe, and SIGKILLs it there: part of a message
+#: is left behind, as when the kernel's OOM killer strikes mid-send.
+_KILLED_MID_SEND = """
+import multiprocessing
+import os
+import signal
+import sys
+import time
+from pathlib import Path
+
+from repro.deployment import ExperimentConfig, replay, run_experiment
+
+merge_ready = replay._merge_ready
+stalled = []
+
+
+def blocked_writer():
+    for child in multiprocessing.active_children():
+        try:
+            for task in Path(f"/proc/{child.pid}/task").iterdir():
+                if "pipe_write" in (task / "wchan").read_text():
+                    return child
+        except OSError:
+            continue
+    return None
+
+
+def stalled_merge_ready(buffers, done):
+    if not stalled:
+        stalled.append(True)
+        deadline = time.monotonic() + 30
+        while (victim := blocked_writer()) is None:
+            if time.monotonic() > deadline:
+                raise RuntimeError("no worker blocked on a full pipe")
+            time.sleep(0.05)
+        os.kill(victim.pid, signal.SIGKILL)
+        print("killed mid-send", flush=True)
+    return merge_ready(buffers, done)
+
+
+replay._merge_ready = stalled_merge_ready
+# A batch larger than a pipe holds cannot be written whole while the
+# driver stalls, so the victim dies with part of one in the pipe.
+replay.OUTCOME_BATCH = 1024
+try:
+    run_experiment(ExperimentConfig(
+        seed=int(sys.argv[2]), volume_scale=0.0002, output_dir=sys.argv[1],
+        workers=2, pool="fork"))
+except replay.WorkerLostError:
+    print("worker lost")
+"""
+
+
+class TestWorkerKilledMidSend:
+    @pytest.mark.skipif(not Path("/proc/self/wchan").exists(),
+                        reason="needs /proc/<pid>/wchan")
+    def test_kill_mid_message_is_worker_lost(self, tmp_path):
+        # The partial message must not block the driver's read for good:
+        # it gets an end of file once the pool has reaped the workers,
+        # and reports the lost worker.
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        process = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_MID_SEND, str(tmp_path),
+             str(SEED)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            start_new_session=True)
+        try:
+            stdout, _ = process.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            stdout = b"driver hung"
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait()
+        assert stdout.decode().split() == ["killed", "mid-send",
+                                           "worker", "lost"]
 
 
 class TestDeadLetterBytes:
